@@ -16,14 +16,22 @@
 //     reverts to population-sized recomputes — both are pure counters,
 //     load-insensitive, asserted always;
 //  3. scaling efficiency — wall(1 thread) / (N * wall(N threads)) >= 0.6
-//     at N = 4, asserted only when the host actually has >= 4 hardware
-//     threads (a 1-core container time-slices the workers and measures
-//     the scheduler, not the shard layer); the measured value is always
-//     recorded. Zero failed transfers is asserted in every mode.
+//     at N = 4, taken as the median over three timed sweeps (each sweep
+//     runs every thread count once, back to back, so one burst of host
+//     load spoils one sweep, not the gate). Asserted only when the host
+//     actually has >= 4 hardware threads (a 1-core container time-slices
+//     the workers and measures the scheduler, not the shard layer); the
+//     measured value is always recorded, with each run's worker-thread
+//     CPU time next to its busy wall time so a low reading names its
+//     cause: "preempted" (workers runnable but off the CPU), "serialized"
+//     (workers on the CPU but not concurrently busy) or "contended" (all
+//     busy at once, yet the same work cost more CPU). Zero failed
+//     transfers is asserted in every mode.
 //
 // Default mode is the CI-sized gate (~10^5 transfers, sweep {1, 4});
 // --full is the headline itself: 2048 clients x 2048-relay pool,
 // 1,048,576 transfers, sweep {1, 2, 4, 8}.
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -49,11 +57,17 @@ void check(bool ok, const std::string& what) {
   }
 }
 
+/// Timed sweeps over the thread counts; the efficiency gate reads their
+/// median.
+constexpr int kTimedSweeps = 3;
+
 struct SweepPoint {
+  int sweep = 0;
   unsigned threads = 0;
   double wall_seconds = 0.0;
-  double busy_seconds = 0.0;
-  double speedup = 0.0;      // wall(1) / wall(threads)
+  double busy_seconds = 0.0;  // summed per-shard worker wall time
+  double cpu_seconds = 0.0;   // summed per-shard worker-thread CPU time
+  double speedup = 0.0;      // wall(first) / wall(threads), same sweep
   double efficiency = 0.0;   // speedup / threads
   std::uint64_t digest = 0;
   bool digest_matches = true;
@@ -63,6 +77,13 @@ struct SweepPoint {
 double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
       .count();
+}
+
+/// Why a multi-thread run scaled as it did, read from its own clocks.
+const char* diagnose(const SweepPoint& p) {
+  if (p.cpu_seconds < 0.8 * p.busy_seconds) return "preempted";
+  if (p.busy_seconds < 0.8 * p.threads * p.wall_seconds) return "serialized";
+  return "contended";
 }
 
 }  // namespace
@@ -148,73 +169,84 @@ int main(int argc, char** argv) {
   flow::FlowSimulator::Counters base_flow;
   std::size_t shard_count = 0;
 
-  for (const unsigned threads : sweep) {
-    const auto t_plan = std::chrono::steady_clock::now();
-    std::vector<testbed::ShardSpec> shards =
-        testbed::plan_fleet_shards(spec, fleet);
-    const double plan_seconds = seconds_since(t_plan);
-    shard_count = shards.size();
+  for (int sweep_index = 0; sweep_index < kTimedSweeps; ++sweep_index) {
+    double sweep_base_wall = 0.0;
+    for (const unsigned threads : sweep) {
+      const auto t_plan = std::chrono::steady_clock::now();
+      std::vector<testbed::ShardSpec> shards =
+          testbed::plan_fleet_shards(spec, fleet);
+      const double plan_seconds = seconds_since(t_plan);
+      shard_count = shards.size();
 
-    testbed::ShardRunResult run = testbed::run_sharded(
-        std::move(shards), threads, shed_observations);
+      testbed::ShardRunResult run = testbed::run_sharded(
+          std::move(shards), threads, shed_observations);
 
-    SweepPoint p;
-    p.threads = threads;
-    p.wall_seconds = run.wall_seconds;
-    p.busy_seconds = run.busy_seconds;
-    p.digest = run.summary.digest;
-    const std::string snapshot_json = run.metrics.to_json();
-    if (points.empty()) {
-      base_digest = run.summary.digest;
-      base_snapshot_json = snapshot_json;
-      base_summary = run.summary;
-      base_work = run.work;
-      base_flow = flow::FlowSimulator::counters_from(run.metrics);
-      p.speedup = 1.0;
-      p.efficiency = 1.0;
-    } else {
-      p.digest_matches = run.summary.digest == base_digest;
-      p.snapshot_matches = snapshot_json == base_snapshot_json;
-      p.speedup = run.wall_seconds > 0.0
-                      ? points.front().wall_seconds / run.wall_seconds
-                      : 0.0;
-      p.efficiency = p.speedup / threads;
-      check(p.digest_matches,
-            "transfer digest diverged at " + std::to_string(threads) +
-                " threads (determinism broken)");
-      check(p.snapshot_matches,
-            "metrics snapshot diverged at " + std::to_string(threads) +
-                " threads (determinism broken)");
-    }
-    check(run.summary.transfers == expected_transfers,
-          "transfer count " + std::to_string(run.summary.transfers) +
-              " != expected " + std::to_string(expected_transfers));
-    check(run.summary.failed == 0,
-          std::to_string(run.summary.failed) + " failed transfers");
+      SweepPoint p;
+      p.sweep = sweep_index;
+      p.threads = threads;
+      p.wall_seconds = run.wall_seconds;
+      p.busy_seconds = run.busy_seconds;
+      p.cpu_seconds = run.cpu_seconds;
+      p.digest = run.summary.digest;
+      const std::string snapshot_json = run.metrics.to_json();
+      if (points.empty()) {
+        base_digest = run.summary.digest;
+        base_snapshot_json = snapshot_json;
+        base_summary = run.summary;
+        base_work = run.work;
+        base_flow = flow::FlowSimulator::counters_from(run.metrics);
+      } else {
+        p.digest_matches = run.summary.digest == base_digest;
+        p.snapshot_matches = snapshot_json == base_snapshot_json;
+        check(p.digest_matches,
+              "transfer digest diverged at " + std::to_string(threads) +
+                  " threads (determinism broken)");
+        check(p.snapshot_matches,
+              "metrics snapshot diverged at " + std::to_string(threads) +
+                  " threads (determinism broken)");
+      }
+      if (threads == sweep.front()) {
+        sweep_base_wall = run.wall_seconds;
+        p.speedup = 1.0;
+        p.efficiency = 1.0;
+      } else {
+        p.speedup = run.wall_seconds > 0.0
+                        ? sweep_base_wall / run.wall_seconds
+                        : 0.0;
+        p.efficiency = p.speedup / threads;
+      }
+      check(run.summary.transfers == expected_transfers,
+            "transfer count " + std::to_string(run.summary.transfers) +
+                " != expected " + std::to_string(expected_transfers));
+      check(run.summary.failed == 0,
+            std::to_string(run.summary.failed) + " failed transfers");
 
-    std::printf(
-        "threads=%-2u wall %7.2f s  busy %8.2f s  %9.0f transfers/s  "
-        "speedup %5.2fx  efficiency %4.2f  digest %016llx%s\n",
-        threads, p.wall_seconds, p.busy_seconds,
-        p.wall_seconds > 0.0 ? expected_transfers / p.wall_seconds : 0.0,
-        p.speedup, p.efficiency,
-        static_cast<unsigned long long>(p.digest),
-        p.digest_matches && p.snapshot_matches ? "" : "  MISMATCH");
-    if (points.empty()) {
       std::printf(
-          "fleet build %.2f s, plan %.2f s, %zu shards; "
-          "%.1f%% indirect, mean steady improvement %+.1f%%\n",
-          fleet_seconds, plan_seconds, shard_count,
-          run.summary.transfers > 0
-              ? 100.0 * static_cast<double>(run.summary.indirect) /
-                    static_cast<double>(run.summary.transfers)
-              : 0.0,
-          run.summary.ok > 0
-              ? run.summary.improvement_sum /
-                    static_cast<double>(run.summary.ok)
-              : 0.0);
+          "sweep %d threads=%-2u wall %7.2f s  busy %8.2f s  cpu %8.2f s  "
+          "%9.0f transfers/s  speedup %5.2fx  efficiency %4.2f  "
+          "digest %016llx%s\n",
+          sweep_index + 1, threads, p.wall_seconds, p.busy_seconds,
+          p.cpu_seconds,
+          p.wall_seconds > 0.0 ? expected_transfers / p.wall_seconds : 0.0,
+          p.speedup, p.efficiency,
+          static_cast<unsigned long long>(p.digest),
+          p.digest_matches && p.snapshot_matches ? "" : "  MISMATCH");
+      if (points.empty()) {
+        std::printf(
+            "fleet build %.2f s, plan %.2f s, %zu shards; "
+            "%.1f%% indirect, mean steady improvement %+.1f%%\n",
+            fleet_seconds, plan_seconds, shard_count,
+            run.summary.transfers > 0
+                ? 100.0 * static_cast<double>(run.summary.indirect) /
+                      static_cast<double>(run.summary.transfers)
+                : 0.0,
+            run.summary.ok > 0
+                ? run.summary.improvement_sum /
+                      static_cast<double>(run.summary.ok)
+                : 0.0);
+      }
+      points.push_back(p);
     }
-    points.push_back(p);
   }
 
   // --- Work-metric gates: pure counters, independent of machine load. ----
@@ -235,22 +267,43 @@ int main(int argc, char** argv) {
             " outside (0, 400] — event volume no longer transfer-scoped");
 
   // --- Scaling-efficiency gate (hardware-permitting). --------------------
+  // The median sweep's 4-thread run stands for the gate; its clocks say
+  // why it scaled as it did.
+  std::vector<SweepPoint> at4;
+  for (const SweepPoint& p : points) {
+    if (p.threads == 4) at4.push_back(p);
+  }
+  std::sort(at4.begin(), at4.end(),
+            [](const SweepPoint& a, const SweepPoint& b) {
+              return a.efficiency < b.efficiency;
+            });
   double eff4 = 0.0;
   bool eff4_asserted = false;
-  for (const SweepPoint& p : points) {
-    if (p.threads == 4) {
-      eff4 = p.efficiency;
-      if (cores >= 4) {
-        eff4_asserted = true;
-        check(eff4 >= 0.6,
-              "parallel scaling efficiency at 4 threads " +
-                  std::to_string(eff4) + " < 0.6");
-      } else {
-        std::fprintf(stderr,
-                     "note: %u hardware thread(s) — 4-thread efficiency "
-                     "%.2f recorded, not asserted\n",
-                     cores, eff4);
-      }
+  const char* diagnosis = "not measured";
+  if (!at4.empty()) {
+    const SweepPoint& median = at4[at4.size() / 2];
+    eff4 = median.efficiency;
+    diagnosis = eff4 >= 0.6 ? "scaled" : diagnose(median);
+    std::printf(
+        "4-thread efficiency: median %.2f of %zu sweeps (min %.2f, max "
+        "%.2f); median run cpu/busy %.2f, busy/(4*wall) %.2f: %s\n",
+        eff4, at4.size(), at4.front().efficiency, at4.back().efficiency,
+        median.busy_seconds > 0.0 ? median.cpu_seconds / median.busy_seconds
+                                  : 0.0,
+        median.wall_seconds > 0.0
+            ? median.busy_seconds / (4.0 * median.wall_seconds)
+            : 0.0,
+        diagnosis);
+    if (cores >= 4) {
+      eff4_asserted = true;
+      check(eff4 >= 0.6, "parallel scaling efficiency at 4 threads " +
+                             std::to_string(eff4) + " < 0.6 (" +
+                             diagnosis + ")");
+    } else {
+      std::fprintf(stderr,
+                   "note: %u hardware thread(s) — 4-thread efficiency "
+                   "%.2f recorded, not asserted\n",
+                   cores, eff4);
     }
   }
 
@@ -308,11 +361,13 @@ int main(int argc, char** argv) {
     const SweepPoint& p = points[i];
     std::snprintf(
         buf, sizeof buf,
-        "    {\"threads\": %u, \"wall_seconds\": %.6g,\n"
-        "     \"busy_seconds\": %.6g, \"transfers_per_second\": %.6g,\n"
+        "    {\"sweep\": %d, \"threads\": %u, \"wall_seconds\": %.6g,\n"
+        "     \"busy_seconds\": %.6g, \"cpu_seconds\": %.6g,\n"
+        "     \"transfers_per_second\": %.6g,\n"
         "     \"speedup_vs_1thread\": %.6g, \"efficiency\": %.6g,\n"
         "     \"deterministic_vs_1thread\": %s}%s\n",
-        p.threads, p.wall_seconds, p.busy_seconds,
+        p.sweep + 1, p.threads, p.wall_seconds, p.busy_seconds,
+        p.cpu_seconds,
         p.wall_seconds > 0.0 ? expected_transfers / p.wall_seconds : 0.0,
         p.speedup, p.efficiency,
         p.digest_matches && p.snapshot_matches ? "true" : "false",
@@ -322,8 +377,11 @@ int main(int argc, char** argv) {
   json += "  ],\n";
   std::snprintf(buf, sizeof buf,
                 "  \"efficiency_gate\": {\"threads\": 4, \"required\": 0.6,\n"
-                "    \"measured\": %.6g, \"asserted\": %s}\n}\n",
-                eff4, eff4_asserted ? "true" : "false");
+                "    \"statistic\": \"median of %d sweeps\",\n"
+                "    \"measured\": %.6g, \"asserted\": %s,\n"
+                "    \"diagnosis\": \"%s\"}\n}\n",
+                kTimedSweeps, eff4, eff4_asserted ? "true" : "false",
+                diagnosis);
   json += buf;
 
   if (std::FILE* f = std::fopen(out_path.c_str(), "w")) {

@@ -18,11 +18,13 @@ void ParserBase::reset_base() {
   error_.clear();
   head_buffer_.clear();
   body_remaining_ = 0;
+  body_slice_ = {};
   start_line_done_ = false;
 }
 
 std::size_t ParserBase::feed_impl(std::string_view data) {
   std::size_t consumed = 0;
+  body_slice_ = {};
 
   if (state_ == ParseState::Headers) {
     // Accumulate until the blank line. Search spans the buffer/new-data
@@ -63,7 +65,8 @@ std::size_t ParserBase::feed_impl(std::string_view data) {
   if (state_ == ParseState::Body) {
     const std::size_t take = static_cast<std::size_t>(std::min<std::uint64_t>(
         body_remaining_, data.size() - consumed));
-    body_sink()->append(data.substr(consumed, take));
+    body_slice_ = data.substr(consumed, take);
+    if (std::string* sink = body_sink()) sink->append(body_slice_);
     consumed += take;
     body_remaining_ -= take;
     if (body_remaining_ == 0) state_ = ParseState::Complete;

@@ -36,6 +36,9 @@ class ParserBase {
   const std::string& error() const { return error_; }
   /// Bytes of body still expected (valid in Body state).
   std::uint64_t body_remaining() const { return body_remaining_; }
+  /// The body bytes the last feed() consumed: a view into the data it was
+  /// given, empty when that feed carried none.
+  std::string_view body_slice() const { return body_slice_; }
 
   /// Replaces the default limits; takes effect for bytes fed afterwards
   /// (callers set limits before feeding).
@@ -47,6 +50,7 @@ class ParserBase {
   void to_error(std::string message);
   /// Parses the accumulated header block; implemented per direction.
   virtual bool parse_head(std::string_view head) = 0;
+  /// Where body bytes are stored; null to only frame them (body_slice()).
   virtual std::string* body_sink() = 0;
   virtual ~ParserBase() = default;
 
@@ -61,6 +65,7 @@ class ParserBase {
   std::string error_;
   std::string head_buffer_;
   std::uint64_t body_remaining_ = 0;
+  std::string_view body_slice_;
   ParserLimits limits_{};
   bool start_line_done_ = false;
 };
@@ -82,6 +87,9 @@ class RequestParser final : public detail::ParserBase {
   Request request_;
 };
 
+/// Frames responses without storing their bodies: response().body stays
+/// empty, and each feed's body bytes are reported through body_slice().
+/// A relay forwarding or a client verifying gigabytes keeps only framing.
 class ResponseParser final : public detail::ParserBase {
  public:
   std::size_t feed(std::string_view data) { return feed_impl(data); }
@@ -90,7 +98,7 @@ class ResponseParser final : public detail::ParserBase {
 
  private:
   bool parse_head(std::string_view head) override;
-  std::string* body_sink() override { return &response_.body; }
+  std::string* body_sink() override { return nullptr; }
   Response response_;
 };
 

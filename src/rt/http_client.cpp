@@ -55,7 +55,6 @@ struct FetchState {
 void on_response_progress(const std::shared_ptr<FetchState>& state,
                           std::string_view data) {
   while (!data.empty() && !state->finished) {
-    const std::size_t before_body = state->parser.body_remaining();
     const bool in_headers =
         state->parser.state() == http::ParseState::Headers;
     const std::size_t used = state->parser.feed(data);
@@ -90,28 +89,20 @@ void on_response_progress(const std::shared_ptr<FetchState>& state,
       }
     }
 
-    // Verify any body bytes delivered by this feed.
-    if (state->range_resolved) {
-      const std::string& body = state->parser.response().body;
-      const std::uint64_t have = body.size();
-      static_cast<void>(before_body);
-      // Verify bytes we have not checked yet.
-      const std::uint64_t checked = state->result.body_bytes;
-      for (std::uint64_t i = checked; i < have; ++i) {
-        if (body[static_cast<std::size_t>(i)] !=
-            resource_byte(state->verify_offset + i)) {
-          state->verify_ok = false;
-        }
-      }
-      state->result.body_bytes = have;
+    // Verify (and, when asked, keep) the body bytes this feed delivered;
+    // the parser itself stores none of them.
+    const std::string_view slice = state->parser.body_slice();
+    const std::uint64_t offset =
+        state->verify_offset + state->result.body_bytes;
+    for (std::size_t i = 0; i < slice.size(); ++i) {
+      if (slice[i] != resource_byte(offset + i)) state->verify_ok = false;
     }
+    state->result.body_bytes += slice.size();
+    if (state->request.capture_body) state->result.body.append(slice);
 
     if (state->parser.state() == http::ParseState::Complete) {
       state->result.body_verified =
           state->verify_ok && state->result.status / 100 == 2;
-      if (state->request.capture_body) {
-        state->result.body = state->parser.response().body;
-      }
       state->finish(state->result.status / 100 == 2,
                     state->result.status / 100 == 2
                         ? ""

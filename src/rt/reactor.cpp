@@ -84,16 +84,33 @@ TimerId Reactor::add_timer(double delay_s, std::function<void()> cb) {
   IDR_REQUIRE(delay_s >= 0.0, "add_timer: negative delay");
   IDR_REQUIRE(cb != nullptr, "add_timer: null callback");
   const TimerId id = ++next_timer_;
-  timer_queue_.push(TimerEntry{now() + delay_s, id});
+  timer_queue_.push_back(TimerEntry{now() + delay_s, id});
+  std::push_heap(timer_queue_.begin(), timer_queue_.end(),
+                 std::greater<>{});
   timers_.emplace(id, std::move(cb));
   c_timers_scheduled_.inc();
   return id;
 }
 
 bool Reactor::cancel_timer(TimerId id) {
-  const bool cancelled = timers_.erase(id) > 0;
-  if (cancelled) c_timers_cancelled_.inc();
-  return cancelled;
+  if (timers_.erase(id) == 0) return false;
+  c_timers_cancelled_.inc();
+  // A cancelled entry stays queued until its deadline would pass; once
+  // dead entries outnumber live ones, drop them all in one O(n) sweep so
+  // the queue stays proportional to the live timers.
+  if (timer_queue_.size() - timers_.size() > timers_.size()) {
+    std::erase_if(timer_queue_, [this](const TimerEntry& e) {
+      return !timers_.contains(e.id);
+    });
+    std::make_heap(timer_queue_.begin(), timer_queue_.end(),
+                   std::greater<>{});
+  }
+  return true;
+}
+
+void Reactor::pop_timer() {
+  std::pop_heap(timer_queue_.begin(), timer_queue_.end(), std::greater<>{});
+  timer_queue_.pop_back();
 }
 
 double Reactor::now() const {
@@ -104,9 +121,9 @@ double Reactor::now() const {
 
 void Reactor::run_due_timers() {
   const double t = now();
-  while (!timer_queue_.empty() && timer_queue_.top().deadline <= t) {
-    const TimerId id = timer_queue_.top().id;
-    timer_queue_.pop();
+  while (!timer_queue_.empty() && timer_queue_.front().deadline <= t) {
+    const TimerId id = timer_queue_.front().id;
+    pop_timer();
     const auto it = timers_.find(id);
     if (it == timers_.end()) continue;  // cancelled
     std::function<void()> cb = std::move(it->second);
@@ -116,11 +133,14 @@ void Reactor::run_due_timers() {
   }
 }
 
-int Reactor::next_timeout_ms() const {
-  // Skip cancelled entries at the head without mutating (const): a
-  // cancelled head just means we may wake early and loop again.
+int Reactor::next_timeout_ms() {
+  // Drop cancelled heads first, so a cancelled timer never wakes the loop.
+  while (!timer_queue_.empty() &&
+         !timers_.contains(timer_queue_.front().id)) {
+    pop_timer();
+  }
   if (timer_queue_.empty()) return -1;
-  const double delta = timer_queue_.top().deadline - now();
+  const double delta = timer_queue_.front().deadline - now();
   if (delta <= 0.0) return 0;
   return static_cast<int>(std::min(60000.0, std::ceil(delta * 1000.0)));
 }

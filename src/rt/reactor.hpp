@@ -7,8 +7,8 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <queue>
 #include <unordered_map>
+#include <vector>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -44,6 +44,9 @@ class Reactor {
   /// One-shot timer after `delay_s` seconds (monotonic clock).
   TimerId add_timer(double delay_s, std::function<void()> cb);
   bool cancel_timer(TimerId id);
+  /// Deadline entries held, cancelled ones included: at most about twice
+  /// the live timers, since cancelled entries are compacted away.
+  std::size_t timer_queue_size() const { return timer_queue_.size(); }
 
   /// Runs until stop() is called or there is nothing left to wait for
   /// (no fds, no timers).
@@ -90,13 +93,14 @@ class Reactor {
   };
 
   void run_due_timers();
-  int next_timeout_ms() const;
+  int next_timeout_ms();
+  void pop_timer();
 
   int epoll_fd_ = -1;
   std::chrono::steady_clock::time_point origin_;
   std::unordered_map<int, FdState> fds_;
-  std::priority_queue<TimerEntry, std::vector<TimerEntry>,
-                      std::greater<TimerEntry>> timer_queue_;
+  /// Min-heap (std::greater) by deadline, then id; may hold cancelled ids.
+  std::vector<TimerEntry> timer_queue_;
   std::unordered_map<TimerId, std::function<void()>> timers_;
   TimerId next_timer_ = 0;
   bool stopped_ = false;

@@ -1,5 +1,7 @@
 #include "testbed/shard.hpp"
 
+#include <time.h>
+
 #include <algorithm>
 #include <bit>
 #include <chrono>
@@ -34,6 +36,13 @@ inline std::uint64_t mix(std::uint64_t h, double x) {
 double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
       .count();
+}
+
+double thread_cpu_seconds() {
+  timespec ts{};
+  ::clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         1e-9 * static_cast<double>(ts.tv_nsec);
 }
 
 }  // namespace
@@ -83,6 +92,7 @@ void ShardSummary::combine(const ShardSummary& other) {
 
 ShardResult run_shard(const ShardSpec& spec) {
   const auto t0 = std::chrono::steady_clock::now();
+  const double cpu0 = thread_cpu_seconds();
   ShardResult result;
   result.shard_id = spec.shard_id;
   result.sessions.reserve(spec.sessions.size());
@@ -108,6 +118,7 @@ ShardResult run_shard(const ShardSpec& spec) {
   shards_run.inc();
   result.metrics.merge(registry.snapshot());
   result.busy_seconds = seconds_since(t0);
+  result.cpu_seconds = thread_cpu_seconds() - cpu0;
   return result;
 }
 
@@ -135,6 +146,7 @@ ShardRunResult run_sharded(
     run.summary.combine(r.summary);
     run.work += r.work;
     run.busy_seconds += r.busy_seconds;
+    run.cpu_seconds += r.cpu_seconds;
     run.metrics.merge(r.metrics);
     for (SessionOutput& s : r.sessions) {
       run.outputs.push_back(std::move(s));

@@ -78,6 +78,9 @@ struct ShardResult {
   /// Wall-clock the worker spent inside this shard (load/imbalance
   /// accounting; nondeterministic by nature, kept out of `metrics`).
   double busy_seconds = 0.0;
+  /// CPU time the worker thread spent inside this shard; below
+  /// busy_seconds when the thread was runnable but not running.
+  double cpu_seconds = 0.0;
 };
 
 /// Merged view of a sharded run.
@@ -91,6 +94,7 @@ struct ShardRunResult {
   obs::Snapshot metrics;
   std::size_t shard_count = 0;
   double busy_seconds = 0.0;  // sum of per-shard worker time
+  double cpu_seconds = 0.0;   // sum of per-shard worker-thread CPU time
   double wall_seconds = 0.0;  // fork-join wall clock of the whole run
 };
 

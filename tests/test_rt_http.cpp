@@ -47,6 +47,29 @@ TEST(RtHttp, FullDownloadVerified) {
   EXPECT_EQ(fx.server.requests_served(), 1u);
 }
 
+TEST(RtHttp, LargeBodyIsVerifiedWithoutBeingKept) {
+  Fixture fx;
+  constexpr std::uint64_t kSize = 8u << 20;  // 8 MiB
+  fx.server.add_resource("/big", kSize);
+  FetchRequest req;
+  req.path = "/big";
+  const FetchResult result = fx.fetch_sync(req, 30.0);
+  EXPECT_TRUE(result.ok) << result.error;
+  EXPECT_EQ(result.body_bytes, kSize);
+  EXPECT_TRUE(result.body_verified);
+  EXPECT_TRUE(result.body.empty());  // capture_body is off by default
+
+  // Captured, the same body is kept byte for byte.
+  req.capture_body = true;
+  req.range = http::range_first_bytes(100000);
+  const FetchResult captured = fx.fetch_sync(req, 30.0);
+  ASSERT_TRUE(captured.ok) << captured.error;
+  ASSERT_EQ(captured.body.size(), 100000u);
+  for (std::size_t i = 0; i < captured.body.size(); ++i) {
+    ASSERT_EQ(captured.body[i], resource_byte(i)) << "offset " << i;
+  }
+}
+
 TEST(RtHttp, RangeRequestReturns206WithCorrectSlice) {
   Fixture fx;
   FetchRequest req;

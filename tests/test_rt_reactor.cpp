@@ -162,6 +162,58 @@ TEST(Reactor, AddCancelStormLeavesTimersConsistent) {
   spin_until(reactor, 5.0, [&] { return fired == 10; });
 }
 
+TEST(Reactor, CancelledTimersDoNotAccumulateInTheQueue) {
+  Reactor reactor;
+  // Race-shaped churn: long timeouts armed and cancelled long before
+  // their deadlines. The queue must track live timers, not history.
+  for (int i = 0; i < 100000; ++i) {
+    const TimerId id = reactor.add_timer(30.0, [] { ADD_FAILURE(); });
+    ASSERT_TRUE(reactor.cancel_timer(id));
+    ASSERT_LE(reactor.timer_queue_size(), 1u);
+  }
+  // Bulk: 100k live, then all but ten cancelled.
+  std::vector<TimerId> ids;
+  for (int i = 0; i < 100000; ++i) {
+    ids.push_back(reactor.add_timer(30.0 + 1e-6 * i, [] { ADD_FAILURE(); }));
+  }
+  for (std::size_t i = 10; i < ids.size(); ++i) {
+    ASSERT_TRUE(reactor.cancel_timer(ids[i]));
+    const std::size_t live = ids.size() - i - 1 + 10;
+    ASSERT_LE(reactor.timer_queue_size(), 2 * live + 1);
+  }
+  EXPECT_LE(reactor.timer_queue_size(), 21u);
+  for (std::size_t i = 0; i < 10; ++i) {
+    EXPECT_TRUE(reactor.cancel_timer(ids[i]));
+  }
+  EXPECT_FALSE(reactor.cancel_timer(ids[0]));  // already cancelled
+  // A cancelled head no longer bounds the wait: with nothing live the
+  // loop has nothing to wait for.
+  reactor.poll(0.0);
+  EXPECT_EQ(reactor.timer_queue_size(), 0u);
+}
+
+TEST(Reactor, FiringOrderSurvivesCompaction) {
+  Reactor reactor;
+  std::vector<int> fired;
+  std::vector<TimerId> ids;
+  for (int i = 0; i < 300; ++i) {
+    // Deadlines interleave in reverse id order: 299 first, 0 last.
+    ids.push_back(reactor.add_timer(0.001 * (300 - i) / 30.0,
+                                    [&fired, i] { fired.push_back(i); }));
+  }
+  // Cancel two of every three: compaction runs mid-way.
+  for (int i = 0; i < 300; ++i) {
+    if (i % 3 != 0) {
+      ASSERT_TRUE(reactor.cancel_timer(ids[i]));
+    }
+  }
+  EXPECT_LE(reactor.timer_queue_size(), 2 * 100u + 1);
+  spin_until(reactor, 5.0, [&] { return fired.size() == 100; });
+  for (std::size_t k = 0; k < fired.size(); ++k) {
+    EXPECT_EQ(fired[k], 297 - 3 * static_cast<int>(k));
+  }
+}
+
 TEST(Reactor, TimerAccuracyUnderBusyFdSet) {
   // A level-triggered fd with permanently pending data keeps every poll
   // busy; timers must still fire close to their deadline instead of
